@@ -1,16 +1,20 @@
-// Block-plane dispatch for the solo processor: when exactly one hardware
-// thread is active, the per-cycle fetch/classify/pick/issue loop is
-// provably equivalent to a closed form — the thread's next issue cycle is
-// max(eligible, scoreboard minimum, unit-free), every cycle before it is
-// idle and attributed to the first binding threshold, and the fetch unit
-// serves only that thread. runBlock exploits this to dispatch a whole
-// basic block (isa.BuildBlocks) per entry: singleton micro-ops issue via
-// the closed form, and fused superinstructions execute in one
-// machine.ExecFused call with per-constituent accounting replayed at
-// their back-to-back issue cycles. Every counter the generic path
-// maintains (cycles, stalls by kind, idle by kind, fetches, contention,
-// completion drain) is updated identically, so the golden cycle tests
-// hold with the block plane on or off.
+// Block-plane dispatch: when exactly one hardware thread is active, the
+// per-cycle fetch/classify/pick/issue loop is provably equivalent to a
+// closed form — the thread's next issue cycle is max(eligible, scoreboard
+// minimum, unit-free), every cycle before it is idle and attributed to the
+// first binding threshold, and the fetch unit serves only that thread.
+// runBlock exploits this to dispatch a whole basic block (isa.BuildBlocks)
+// per entry: singleton micro-ops issue via the closed form, and fused
+// superinstructions execute in one machine.ExecFused call (on every live
+// lane of a gang) with per-constituent accounting replayed at their
+// back-to-back issue cycles. Every counter the generic path maintains
+// (cycles, stalls by kind, idle by kind, fetches, contention, completion
+// drain) is updated identically, so the golden cycle tests hold with the
+// block plane on or off. The tier is part of the shared front end, so the
+// solo processor and the gang dispatch through the same code; a gang's
+// singleton ops keep its per-lane trap and peel semantics because they
+// execute through Gang.execLanes like its per-cycle issues, and fused
+// kernels are trap-free and outcome-free by construction.
 //
 // The dispatcher falls back to the generic Step — counting why — at
 // every surface the closed form does not cover: more than one active
@@ -75,11 +79,11 @@ const (
 // soleActive finds the single active thread, if there is exactly one.
 // The closed form needs the machine view (idle attribution, anyActive)
 // and the front-end view (fetch arbitration) to agree on one thread.
-func (p *Processor) soleActive() (int, soleState) {
+func (f *frontEnd) soleActive() (int, soleState) {
 	tid, nm, nf := -1, 0, 0
-	for t := 0; t < p.cfg.Machine.Threads; t++ {
-		ma := p.mach.ThreadActive(t)
-		fa := p.front.Active(t)
+	for t := 0; t < f.cfg.Machine.Threads; t++ {
+		ma := f.lead.ThreadActive(t)
+		fa := f.front.Active(t)
 		if ma {
 			nm++
 		}
@@ -112,39 +116,44 @@ const (
 	stepBail                     // deadlock window pending; nothing changed
 )
 
-// noStop is the stopAt value meaning "no stop line": the dispatcher may
-// skip arbitrarily far ahead (the deadlock window still bounds any one
-// idle span).
-const noStop = int64(^uint64(0) >> 1)
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
+// accountGap advances the sole active thread tid idly to cycle until,
+// replaying exactly what the generic path records for cycles
+// [f.cycle, until) when that thread is the best blocker: idle attribution
+// segment by binding threshold in classification order (fetch
+// eligibility, then the scoreboard's binding hazard, then the sequential
+// unit), and the fetch unit serving only that thread.
+func (f *frontEnd) accountGap(tid int, eligible, minIssue int64, kind pipeline.HazardKind, free, until int64) {
+	c := f.cycle
+	if c >= until {
+		return
 	}
-	return b
-}
-
-// accountGap replays the idle attribution for cycles [p.cycle, until):
-// exactly what the generic path records when the sole active thread is
-// the best blocker, segment by binding threshold in classification order
-// (fetch eligibility, then the scoreboard's binding hazard, then the
-// sequential unit).
-func (p *Processor) accountGap(eligible, minIssue int64, kind pipeline.HazardKind, free, until int64) {
-	c := p.cycle
-	if e := min64(until, eligible); e > c {
-		p.stats.IdleCycles += e - c
-		p.stats.IdleByKind[pipeline.HazardFetch] += e - c
+	if e := min(until, eligible); e > c {
+		f.stats.IdleCycles += e - c
+		f.stats.IdleByKind[pipeline.HazardFetch] += e - c
 		c = e
 	}
-	if m := min64(until, minIssue); m > c {
-		p.stats.IdleCycles += m - c
-		p.stats.IdleByKind[kind] += m - c
+	if m := min(until, minIssue); m > c {
+		f.stats.IdleCycles += m - c
+		f.stats.IdleByKind[kind] += m - c
 		c = m
 	}
-	if f := min64(until, free); f > c {
-		p.stats.IdleCycles += f - c
-		p.stats.IdleByKind[pipeline.HazardStructural] += f - c
+	if fr := min(until, free); fr > c {
+		f.stats.IdleCycles += fr - c
+		f.stats.IdleByKind[pipeline.HazardStructural] += fr - c
 	}
+	f.front.FetchRun(tid, f.cycle, until-1)
+	f.cycle = until
+}
+
+// issuedAt finishes the closed-form issue of one of tid's micro-ops at
+// cycle c: the scheduler's rotation, the cycle's fetch, and the
+// deadlock-window anchor, as the generic Step records them.
+func (f *frontEnd) issuedAt(tid int, c int64) {
+	f.lastIssue = c
+	if f.cfg.Scheduler != SchedFixed {
+		f.front.MarkPicked(tid)
+	}
+	f.front.FetchRun(tid, c, c)
 }
 
 // dispatchOne issues the head micro-op of tid at the earliest legal
@@ -152,89 +161,50 @@ func (p *Processor) accountGap(eligible, minIssue int64, kind pipeline.HazardKin
 // cycle. On a trap the processor is left exactly where the generic path
 // leaves it: op popped, stall recorded, cycle at the issue cycle,
 // nothing else updated.
-func (p *Processor) dispatchOne(tid int, stopAt int64) (blockStep, error) {
-	head, ok := p.front.Head(tid)
+func (f *frontEnd) dispatchOne(tid int, stopAt int64) (blockStep, error) {
+	head, ok := f.front.Head(tid)
 	if !ok {
 		return stepNoHead, nil
 	}
 	d := head.D
 	eligible := head.EligibleAt()
-	minIssue, kind := p.sb.MinIssue(tid, d)
-	free := p.unitFreeAt(d)
-	issueC := p.cycle
-	if eligible > issueC {
-		issueC = eligible
-	}
-	if minIssue > issueC {
-		issueC = minIssue
-	}
-	if free > issueC {
-		issueC = free
-	}
+	minIssue, kind := f.sb.MinIssue(tid, d)
+	free := f.unitFreeAt(d)
+	issueC := max(f.cycle, eligible, minIssue, free)
 	if issueC >= stopAt {
 		// The issue lands at or past the stop cycle: account the idle
 		// prefix up to stopAt and leave the op buffered.
-		if stopAt-1-p.lastIssue > p.cfg.DeadlockWindow {
+		if stopAt-1-f.lastIssue > f.cfg.DeadlockWindow {
 			return stepBail, nil
 		}
-		p.accountGap(eligible, minIssue, kind, free, stopAt)
-		p.front.FetchRun(tid, p.cycle, stopAt-1)
-		p.cycle = stopAt
+		f.accountGap(tid, eligible, minIssue, kind, free, stopAt)
 		return stepStopped, nil
 	}
-	if issueC-1-p.lastIssue > p.cfg.DeadlockWindow {
+	if issueC-1-f.lastIssue > f.cfg.DeadlockWindow {
 		// The generic path would raise the deadlock error inside this
 		// idle span; let it.
 		return stepBail, nil
 	}
-	if issueC > p.cycle {
-		p.accountGap(eligible, minIssue, kind, free, issueC)
-		p.front.FetchRun(tid, p.cycle, issueC-1)
-		p.cycle = issueC
-	}
+	f.accountGap(tid, eligible, minIssue, kind, free, issueC)
 
-	// Issue at issueC, replicating Processor.issue for an in-block op
-	// (never a control-flow, thread, or blocking micro-op).
-	p.front.PopHead(tid)
-	stall := issueC - eligible
-	if stall > 0 {
-		k := kind
-		if minIssue <= eligible {
-			switch {
-			case free > eligible:
-				k = pipeline.HazardStructural
-			default:
-				k = pipeline.HazardNone
-			}
+	// Issue at issueC, replicating issue() for an in-block op (never a
+	// control-flow, thread, or blocking micro-op, so the outcome is a
+	// fall-through on every lane).
+	f.front.PopHead(tid)
+	f.accountStall(d, eligible, minIssue, kind, issueC)
+	if f.gang == nil {
+		if _, err := f.lead.ExecDecoded(tid, d); err != nil {
+			return stepIssued, err
 		}
-		if k != pipeline.HazardNone {
-			p.stats.StallByKind[k] += stall
+		f.record(tid, d, issueC)
+	} else {
+		f.gang.execLanes(tid, d, issueC)
+		if f.lead == nil {
+			return stepIssued, nil // every lane trapped
 		}
 	}
-	if _, err := p.mach.ExecDecoded(tid, d); err != nil {
-		return stepIssued, err
-	}
-	p.sb.Record(tid, d, issueC)
-	p.reserveUnit(d, issueC)
-	if c := p.params.CompletionTime(d, issueC); c > p.maxCompletion {
-		p.maxCompletion = c
-	}
-	p.stats.Instructions++
-	p.stats.PerThread[tid]++
-	switch d.Class {
-	case isa.ClassScalar:
-		p.stats.Scalar++
-	case isa.ClassParallel:
-		p.stats.Parallel++
-	case isa.ClassReduction:
-		p.stats.Reduction++
-	}
-	p.lastIssue = issueC
-	if p.cfg.Scheduler != SchedFixed {
-		p.front.MarkPicked(tid)
-	}
-	p.front.FetchRun(tid, issueC, issueC)
-	p.cycle = issueC + 1
+	f.issuedAt(tid, issueC)
+	f.cycle = issueC + 1
 	return stepIssued, nil
 }
 
@@ -246,39 +216,29 @@ const (
 	fusedFall                    // preconditions unmet; dispatch constituents singly
 )
 
-// dispatchFused issues a fused superinstruction in one machine call when
-// the closed form can prove the generic path would issue its
+// dispatchFused issues a fused superinstruction in one machine call per
+// lane when the closed form can prove the generic path would issue its
 // constituents back to back: every constituent buffered and eligible at
 // its staggered cycle, no external scoreboard dependence binding later
 // (in-group dependences sustain one-cycle stagger by the fusion-set
 // construction — see isa/blocks.go), and the whole group inside the stop
 // window. Anything unproven falls back to singleton dispatch, which is
 // always exact.
-func (p *Processor) dispatchFused(tid int, bo *isa.BlockOp, stopAt int64) fusedStatus {
+func (f *frontEnd) dispatchFused(tid int, bo *isa.BlockOp, stopAt int64) fusedStatus {
 	k := len(bo.Ops)
-	head, ok := p.front.Head(tid)
+	head, ok := f.front.Head(tid)
 	if !ok || head.PC != bo.PC {
 		return fusedFall
 	}
-	d0 := bo.Ops[0]
 	eligible := head.EligibleAt()
-	minIssue, kind := p.sb.MinIssue(tid, d0)
-	issueC := p.cycle
-	if eligible > issueC {
-		issueC = eligible
-	}
-	if minIssue > issueC {
-		issueC = minIssue
-	}
+	minIssue, kind := f.sb.MinIssue(tid, bo.Ops[0])
 	// Fusible ops never use a sequential unit (no mul/div), so free == 0.
-	if issueC+int64(k) > stopAt {
-		return fusedFall
-	}
-	if issueC-1-p.lastIssue > p.cfg.DeadlockWindow {
+	issueC := max(f.cycle, eligible, minIssue)
+	if issueC+int64(k) > stopAt || issueC-1-f.lastIssue > f.cfg.DeadlockWindow {
 		return fusedFall
 	}
 	for j := 1; j < k; j++ {
-		e, ok := p.front.Entry(tid, j)
+		e, ok := f.front.Entry(tid, j)
 		if !ok || e.PC != bo.PC+j {
 			return fusedFall
 		}
@@ -287,55 +247,33 @@ func (p *Processor) dispatchFused(tid int, bo *isa.BlockOp, stopAt int64) fusedS
 		}
 		// External dependences only; in-group producers (recorded below)
 		// are always satisfied at stagger 1.
-		if ext, _ := p.sb.MinIssue(tid, bo.Ops[j]); ext > issueC+int64(j) {
+		if ext, _ := f.sb.MinIssue(tid, bo.Ops[j]); ext > issueC+int64(j) {
 			return fusedFall
 		}
 	}
+	f.accountGap(tid, eligible, minIssue, kind, 0, issueC)
 
-	if issueC > p.cycle {
-		p.accountGap(eligible, minIssue, kind, 0, issueC)
-		p.front.FetchRun(tid, p.cycle, issueC-1)
-		p.cycle = issueC
+	// One architectural call per lane for the whole superinstruction
+	// (accounting below reads no machine state), then the per-constituent
+	// issue bookkeeping at cycles issueC..issueC+k-1, exactly as the
+	// generic path would have recorded it.
+	if f.gang == nil {
+		f.lead.ExecFused(tid, bo.Ops)
+	} else {
+		for _, li := range f.gang.live {
+			f.lanes[li].ExecFused(tid, bo.Ops)
+		}
 	}
-
-	// One architectural call for the whole superinstruction (accounting
-	// below reads no machine state), then the per-constituent issue
-	// bookkeeping at cycles issueC..issueC+k-1, exactly as the generic
-	// path would have recorded it.
-	p.mach.ExecFused(tid, bo.Ops)
 	for j := 0; j < k; j++ {
 		c := issueC + int64(j)
-		h := p.front.PopHead(tid)
+		h := f.front.PopHead(tid)
 		d := bo.Ops[j]
-		mi, kd := p.sb.MinIssue(tid, d)
-		if stall := c - h.EligibleAt(); stall > 0 {
-			k2 := kd
-			if mi <= h.EligibleAt() {
-				k2 = pipeline.HazardNone // no sequential units in a fused group
-			}
-			if k2 != pipeline.HazardNone {
-				p.stats.StallByKind[k2] += stall
-			}
-		}
-		p.sb.Record(tid, d, c)
-		if ct := p.params.CompletionTime(d, c); ct > p.maxCompletion {
-			p.maxCompletion = ct
-		}
-		p.stats.Instructions++
-		p.stats.PerThread[tid]++
-		switch d.Class {
-		case isa.ClassParallel:
-			p.stats.Parallel++
-		case isa.ClassReduction:
-			p.stats.Reduction++
-		}
-		p.lastIssue = c
-		if p.cfg.Scheduler != SchedFixed {
-			p.front.MarkPicked(tid)
-		}
-		p.front.FetchRun(tid, c, c)
+		mi, kd := f.sb.MinIssue(tid, d)
+		f.accountStall(d, h.EligibleAt(), mi, kd, c)
+		f.record(tid, d, c)
+		f.issuedAt(tid, c)
 	}
-	p.cycle = issueC + int64(k)
+	f.cycle = issueC + int64(k)
 	return fusedDone
 }
 
@@ -343,56 +281,62 @@ func (p *Processor) dispatchFused(tid int, bo *isa.BlockOp, stopAt int64) fusedS
 // the block ends, stopAt is reached, or a fallback surface appears. It
 // reports whether it made progress; ran=false means the caller must take
 // a generic Step.
-func (p *Processor) runBlock(stopAt int64) (ran bool, err error) {
-	tid, st := p.soleActive()
+func (f *frontEnd) runBlock(stopAt int64) (ran bool, err error) {
+	if f.lead == nil {
+		return false, nil // every gang lane has left: Step reports done
+	}
+	tid, st := f.soleActive()
 	if st != soleOne {
 		if st == soleMany {
-			p.blockFallbacks[fbMultithread]++
+			f.blockFallbacks[fbMultithread]++
 		}
 		return false, nil
 	}
-	head, ok := p.front.Head(tid)
+	head, ok := f.front.Head(tid)
 	if !ok {
-		p.blockFallbacks[fbRefill]++
+		f.blockFallbacks[fbRefill]++
 		return false, nil
 	}
-	blk, opIdx, sub, ok := p.blocks.Lookup(head.PC)
+	blk, opIdx, sub, ok := f.blocks.Lookup(head.PC)
 	if !ok {
-		p.blockFallbacks[fbBoundary]++
+		f.blockFallbacks[fbBoundary]++
 		return false, nil
 	}
-	p.blockDispatches++
+	f.blockDispatches++
 
 	progressed := false
 	for oi := opIdx; oi < len(blk.Ops); oi++ {
 		bo := &blk.Ops[oi]
-		if len(bo.Ops) > 1 && sub == 0 && p.blockFuse {
-			if p.dispatchFused(tid, bo, stopAt) == fusedDone {
+		if len(bo.Ops) > 1 && sub == 0 && f.blockFuse {
+			if f.dispatchFused(tid, bo, stopAt) == fusedDone {
 				progressed = true
 				continue
 			}
 		}
 		for ci := sub; ci < len(bo.Ops); ci++ {
-			step, err := p.dispatchOne(tid, stopAt)
+			step, err := f.dispatchOne(tid, stopAt)
 			if err != nil {
 				return true, err
 			}
 			switch step {
 			case stepIssued:
 				progressed = true
+				if f.lead == nil {
+					return true, nil // every gang lane trapped: the run is over
+				}
 			case stepStopped:
 				return true, nil // idle prefix accounted: that is progress
 			case stepNoHead:
 				if progressed {
 					return true, nil
 				}
-				p.blockFallbacks[fbRefill]++
+				f.blockFallbacks[fbRefill]++
 				return false, nil
 			case stepBail:
 				if progressed {
 					return true, nil
 				}
-				p.blockFallbacks[fbWindow]++
+				f.blockFallbacks[fbWindow]++
 				return false, nil
 			}
 		}

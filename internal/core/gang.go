@@ -3,9 +3,14 @@
 // A Gang is the cross-job analogue of the broadcast network inside one
 // machine: the paper's processor amortizes one decoded instruction over all
 // PEs; the gang amortizes one fetch/decode/schedule/issue pass over all jobs
-// ("lanes") that run the same program on the same architecture. Every cycle
-// the shared front end classifies threads, picks one, and the chosen micro-op
-// executes on every live lane's machine.NewGangLanes state plane.
+// ("lanes") that run the same program on the same architecture. The gang is
+// the solo processor's timing front end (frontEnd in core.go, with the block
+// plane of block.go) run over a lane set: every cycle the front end
+// classifies threads against the first live lane, picks one, and the chosen
+// micro-op executes on every live lane's machine.NewGangLanes state plane.
+// This file holds only what is lane-specific: lane allocation, the
+// execute-on-every-lane step with its trap finalize and peel, the
+// blocked-status peel, and the per-lane results.
 //
 // Lockstep is sound exactly while the lanes' *control* behavior agrees: the
 // front end's decisions depend only on the program (shared), the timing
@@ -32,11 +37,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 
-	"repro/internal/cu"
 	"repro/internal/isa"
 	"repro/internal/machine"
-	"repro/internal/pipeline"
 )
 
 // LaneResult is the terminal state of one gang lane.
@@ -61,45 +66,22 @@ type LaneResult struct {
 }
 
 // Gang runs n identically configured, same-program processors in lockstep
-// behind a single control-unit front end and scoreboard.
+// behind a single control-unit front end and scoreboard. Its shared
+// statistics are per-job, not per-gang: every lane that completes in the
+// gang reports a deep copy of them (the front end behaved identically to a
+// solo run).
 type Gang struct {
-	cfg    Config
-	params pipeline.Params
-	lanes  []*machine.Machine
-	front  *cu.CU
-	sb     *pipeline.Scoreboard
+	frontEnd
 
-	cycle         int64
-	lastIssue     int64
-	maxCompletion int64
-	halted        bool
-
-	cuMulFree, cuDivFree int64
-	peMulFree, peDivFree int64
-
-	// stats is the shared lockstep accounting; every lane that completes in
-	// the gang reports a deep copy of it (the front end behaved identically
-	// to a solo run, so the numbers are per-job, not per-gang).
-	stats Stats
-
-	statusBuf []threadState
-	readyFn   func(int) bool // stored once; closes over statusBuf
-
-	// live holds the indices of lanes still executing in lockstep; res[i]
-	// is filled when lane i leaves (peel, trap, or run end). liveBuf,
-	// outBuf, and errBuf are reused each cycle to keep Step allocation-free.
+	// live holds the indices of lanes still executing in lockstep (the
+	// first one leads); res[i] is filled when lane i leaves (peel, trap, or
+	// run end). liveBuf, outBuf, and errBuf are reused each cycle to keep
+	// Step allocation-free.
 	live    []int
 	res     []LaneResult
 	liveBuf []int
 	outBuf  []machine.Outcome
 	errBuf  []error
-
-	// Block-dispatch tier (gangblock.go); nil when Config.Blocks is off.
-	// Gang lanes are always serial-engine machines, so fused kernels
-	// need no separate gate.
-	blocks          *isa.BlockProgram
-	blockDispatches int64
-	blockFallbacks  [numFallbacks]int64
 }
 
 // NewGangDecoded builds a gang of n lanes around a shared decoded program.
@@ -125,40 +107,18 @@ func NewGangDecoded(cfg Config, dp *isa.DecodedProgram, n int) (*Gang, error) {
 	if err != nil {
 		return nil, err
 	}
-	front, err := cu.New(cu.Config{
-		Threads:     cfg.Machine.Threads,
-		BufferDepth: cfg.BufferDepth,
-		FetchWidth:  cfg.FetchWidth,
-	}, dp)
-	if err != nil {
+	g := &Gang{
+		live:    make([]int, 0, n),
+		res:     make([]LaneResult, n),
+		liveBuf: make([]int, 0, n),
+		outBuf:  make([]machine.Outcome, 0, n),
+		errBuf:  make([]error, 0, n),
+	}
+	if err := g.init(cfg, params, dp, lanes); err != nil {
 		return nil, err
 	}
-	if cfg.DeadlockWindow == 0 {
-		cfg.DeadlockWindow = 100000
-	}
-	g := &Gang{
-		cfg:    cfg,
-		params: params,
-		lanes:  lanes,
-		front:  front,
-		sb:     pipeline.NewScoreboard(params, cfg.Machine.Threads),
-	}
-	g.stats.PerThread = make([]int64, cfg.Machine.Threads)
-	g.stats.IdleByKind = make(map[pipeline.HazardKind]int64)
-	g.stats.StallByKind = make(map[pipeline.HazardKind]int64)
-	g.statusBuf = make([]threadState, cfg.Machine.Threads)
-	g.readyFn = func(tid int) bool { return g.statusBuf[tid].ready }
-	g.live = make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		g.live = append(g.live, i)
-	}
-	g.liveBuf = make([]int, 0, n)
-	g.res = make([]LaneResult, n)
-	g.outBuf = make([]machine.Outcome, 0, n)
-	g.errBuf = make([]error, 0, n)
-	if cfg.Blocks != BlocksOff {
-		g.blocks = dp.Blocks()
-	}
+	g.gang = g
+	g.resetLanes()
 	return g, nil
 }
 
@@ -172,212 +132,57 @@ func (g *Gang) Lane(i int) *machine.Machine { return g.lanes[i] }
 // LiveLanes returns how many lanes are still executing in lockstep.
 func (g *Gang) LiveLanes() int { return len(g.live) }
 
-// Params returns the derived timing parameters.
-func (g *Gang) Params() pipeline.Params { return g.params }
-
-// Cycle returns the current lockstep cycle.
-func (g *Gang) Cycle() int64 { return g.cycle }
-
-// leader is the lane whose state drives shared front-end decisions. Any live
-// lane would do — they agree on everything the front end reads — so the
-// first live one is used.
-func (g *Gang) leader() *machine.Machine { return g.lanes[g.live[0]] }
-
-// threadStatus mirrors Processor.threadStatus against the leader lane, with
-// one addition: blocking micro-ops compare blocked status across all live
-// lanes and peel disagreeing followers (see blockingStatus).
-func (g *Gang) threadStatus(tid int) (ready bool, why blocker) {
-	lead := g.leader()
-	if !lead.ThreadActive(tid) || !g.front.Active(tid) {
-		return false, blocker{kind: pipeline.HazardNone, readyAt: -1}
+// resetLanes makes every lane live again with no result; the front end's
+// Reset calls it after resetting the lane machines.
+func (g *Gang) resetLanes() {
+	g.live = g.live[:0]
+	for i := range g.lanes {
+		g.live = append(g.live, i)
 	}
-	head, ok := g.front.Head(tid)
-	if !ok {
-		return false, blocker{kind: pipeline.HazardFetch, readyAt: -1}
-	}
-	if head.PC != lead.PC(tid) {
-		panic(fmt.Sprintf("core: gang thread %d buffer head pc %d != architectural pc %d", tid, head.PC, lead.PC(tid)))
-	}
-	if e := head.EligibleAt(); e > g.cycle {
-		return false, blocker{kind: pipeline.HazardFetch, readyAt: e}
-	}
-	if min, kind := g.sb.MinIssue(tid, head.D); min > g.cycle {
-		return false, blocker{kind: kind, readyAt: min}
-	}
-	if free := g.unitFreeAt(head.D); free > g.cycle {
-		return false, blocker{kind: pipeline.HazardStructural, readyAt: free}
-	}
-	if head.D.Info.Blocking && g.blockingStatus(tid, head.D) {
-		return false, blocker{kind: pipeline.HazardSync, readyAt: -1}
-	}
-	return true, blocker{}
+	clear(g.res)
 }
 
-// blockingStatus evaluates a blocking micro-op's blocked state across the
+// setLive installs keep as the live set (recycling the old one as the next
+// scratch buffer) and re-points the front end's lead at its first lane, or
+// at nil once no lane is left.
+func (g *Gang) setLive(keep []int) {
+	g.live, g.liveBuf = keep, g.live
+	g.lead = nil
+	if len(keep) > 0 {
+		g.lead = g.lanes[keep[0]]
+	}
+}
+
+// peelBlocked settles a blocking micro-op (TSEND/TRECV/TJOIN) across the
 // gang. Mailbox state is data-dependent (a TSEND target register can differ
 // between lanes without any prior Outcome divergence), so a follower whose
 // blocked status disagrees with the leader's would break lockstep on the
 // very next issue decision. Such followers peel here — before the op
-// executes, a quiescent point — and the leader's status is returned.
-func (g *Gang) blockingStatus(tid int, d *isa.Decoded) bool {
-	lead := g.leader().BlockedDecoded(tid, d)
-	peeled := false
-	keep := g.liveBuf[:0]
-	keep = append(keep, g.live[0])
+// executes, a quiescent point; the leader stays, so lead is unchanged.
+func (g *Gang) peelBlocked(tid int, d *isa.Decoded, blocked bool) {
+	keep := append(g.liveBuf[:0], g.live[0])
 	for _, li := range g.live[1:] {
-		if g.lanes[li].BlockedDecoded(tid, d) != lead {
+		if g.lanes[li].BlockedDecoded(tid, d) != blocked {
 			g.peel(li)
-			peeled = true
 		} else {
 			keep = append(keep, li)
 		}
 	}
-	if peeled {
-		g.live, g.liveBuf = keep, g.live
-	}
-	return lead
-}
-
-// unitFreeAt mirrors Processor.unitFreeAt.
-func (g *Gang) unitFreeAt(d *isa.Decoded) int64 {
-	info := d.Info
-	switch {
-	case info.IsDiv && d.Class == isa.ClassScalar:
-		return g.cuDivFree
-	case info.IsDiv:
-		return g.peDivFree
-	case info.IsMul && g.params.SeqMul && d.Class == isa.ClassScalar:
-		return g.cuMulFree
-	case info.IsMul && g.params.SeqMul:
-		return g.peMulFree
-	}
-	return 0
-}
-
-// reserveUnit mirrors Processor.reserveUnit.
-func (g *Gang) reserveUnit(d *isa.Decoded, t int64) {
-	info := d.Info
-	switch {
-	case info.IsDiv && d.Class == isa.ClassScalar:
-		g.cuDivFree = t + int64(g.params.DivLatency)
-	case info.IsDiv:
-		g.peDivFree = t + int64(g.params.DivLatency)
-	case info.IsMul && g.params.SeqMul && d.Class == isa.ClassScalar:
-		g.cuMulFree = t + int64(g.params.MulLatency)
-	case info.IsMul && g.params.SeqMul:
-		g.peMulFree = t + int64(g.params.MulLatency)
+	if len(keep) < len(g.live) {
+		g.setLive(keep)
 	}
 }
 
-func (g *Gang) anyActive() bool {
-	lead := g.leader()
-	for tid := 0; tid < g.cfg.Machine.Threads; tid++ {
-		if lead.ThreadActive(tid) {
-			return true
-		}
-	}
-	return false
-}
-
-func (g *Gang) done() bool {
-	if len(g.live) == 0 {
-		return true
-	}
-	if !g.halted && !g.leader().Halted() {
-		return false
-	}
-	return g.cycle >= g.maxCompletion
-}
-
-// Step simulates one lockstep cycle across all live lanes. It returns false
-// once every lane has left the gang or the survivors have halted and
-// drained.
-func (g *Gang) Step() (bool, error) {
-	if g.done() {
-		return false, nil
-	}
-
-	n := g.cfg.Machine.Threads
-	sts := g.statusBuf
-	readyCount := 0
-	for tid := 0; tid < n; tid++ {
-		r, why := g.threadStatus(tid)
-		sts[tid] = threadState{ready: r, why: why}
-		if r {
-			readyCount++
-		}
-	}
-
-	var picked int
-	switch g.cfg.Scheduler {
-	case SchedFixed:
-		picked = g.front.PickFixed(g.readyFn)
-	default:
-		picked = g.front.PickRotating(g.readyFn)
-	}
-
-	if picked >= 0 {
-		g.issue(picked)
-		if extra := readyCount - 1; extra > 0 {
-			g.stats.Contention += int64(extra)
-		}
-		g.lastIssue = g.cycle
-	} else if g.anyActive() {
-		g.stats.IdleCycles++
-		best := blocker{kind: pipeline.HazardNone, readyAt: -1}
-		for tid := 0; tid < n; tid++ {
-			w := sts[tid].why
-			if w.kind == pipeline.HazardNone {
-				continue
-			}
-			if best.kind == pipeline.HazardNone ||
-				(w.readyAt >= 0 && (best.readyAt < 0 || w.readyAt < best.readyAt)) {
-				best = w
-			}
-		}
-		if best.kind != pipeline.HazardNone {
-			g.stats.IdleByKind[best.kind]++
-		}
-		if g.cycle-g.lastIssue > g.cfg.DeadlockWindow {
-			return false, fmt.Errorf("core: no instruction issued for %d cycles (deadlock at cycle %d)", g.cfg.DeadlockWindow, g.cycle)
-		}
-	}
-
-	g.front.Fetch(g.cycle)
-	g.cycle++
-	return !g.done(), nil
-}
-
-// issue pops thread tid's head micro-op and executes it on every live lane.
-// Unlike Processor.issue it never returns an error: a lane that traps
-// finalizes individually (solo semantics — the trapping instruction is not
-// recorded or counted) and the rest of the gang continues.
-func (g *Gang) issue(tid int) {
-	head := g.front.PopHead(tid)
-	d := head.D
-
-	// Stall accounting, identical to the solo path (and, like it, recorded
-	// before execution, so a trapping lane still sees the stall).
-	minIssue, kind := g.sb.MinIssue(tid, d)
-	stall := g.cycle - head.EligibleAt()
-	if stall > 0 {
-		k := kind
-		if minIssue <= head.EligibleAt() {
-			switch {
-			case g.unitFreeAt(d) > head.EligibleAt():
-				k = pipeline.HazardStructural
-			default:
-				k = pipeline.HazardNone
-			}
-		}
-		if k != pipeline.HazardNone {
-			g.stats.StallByKind[k] += stall
-		}
-	}
-
-	// Execute on every live lane.
-	out := g.outBuf[:0]
-	errs := g.errBuf[:0]
+// execLanes executes an issued micro-op of thread tid on every live lane at
+// cycle c and returns the surviving lanes' common outcome. A lane that traps
+// finalizes before the shared accounting (solo semantics — the trapping
+// instruction is not recorded or counted) and the rest of the gang
+// continues; when every lane traps the live set empties, lead becomes nil,
+// and nothing is recorded. A lane whose control outcome (branch direction,
+// halt, exit, spawn) differs from the first surviving lane's peels after
+// the accounting, with the instruction counted — it did execute it.
+func (g *Gang) execLanes(tid int, d *isa.Decoded, c int64) machine.Outcome {
+	out, errs := g.outBuf[:0], g.errBuf[:0]
 	for _, li := range g.live {
 		o, err := g.lanes[li].ExecDecoded(tid, d)
 		out = append(out, o)
@@ -385,9 +190,6 @@ func (g *Gang) issue(tid int) {
 	}
 	g.outBuf, g.errBuf = out, errs
 
-	// Trapped lanes finalize before the shared accounting below, so their
-	// statistics exclude this instruction — exactly what a solo run records
-	// when issue() fails. The first non-trapped lane becomes the reference.
 	ref := -1
 	for k, e := range errs {
 		if e != nil {
@@ -397,98 +199,33 @@ func (g *Gang) issue(tid int) {
 		}
 	}
 	if ref < 0 {
-		// Every lane trapped on the same instruction; the gang is finished.
-		g.live = g.live[:0]
-		return
+		g.setLive(g.liveBuf[:0])
+		return machine.Outcome{}
 	}
-	refLane := g.lanes[g.live[ref]]
-	refOut := out[ref]
+	g.record(tid, d, c)
 
-	// Shared accounting, once for the whole gang.
-	g.sb.Record(tid, d, g.cycle)
-	g.reserveUnit(d, g.cycle)
-	if c := g.params.CompletionTime(d, g.cycle); c > g.maxCompletion {
-		g.maxCompletion = c
-	}
-	g.stats.Instructions++
-	g.stats.PerThread[tid]++
-	switch d.Class {
-	case isa.ClassScalar:
-		g.stats.Scalar++
-	case isa.ClassParallel:
-		g.stats.Parallel++
-	case isa.ClassReduction:
-		g.stats.Reduction++
-	}
-
-	// Lanes whose control outcome diverged from the reference peel with
-	// this instruction counted (they did execute it); the rest stay live.
 	keep := g.liveBuf[:0]
 	for k, li := range g.live {
 		switch {
 		case errs[k] != nil:
 			// Already finalized above.
-		case out[k] != refOut:
+		case out[k] != out[ref]:
 			g.peel(li)
 		default:
 			keep = append(keep, li)
 		}
 	}
-	g.live, g.liveBuf = keep, g.live
-
-	// Control flow, applied from the reference outcome — every surviving
-	// lane produced the identical one.
-	switch {
-	case refOut.Halt:
-		g.halted = true
-		for t := 0; t < g.cfg.Machine.Threads; t++ {
-			g.front.StopThread(t)
-		}
-	case refOut.Exited:
-		g.front.StopThread(tid)
-	case refOut.Redirect:
-		resume := g.cycle + int64(g.params.ExecRedirect) - 1
-		if d.Kind == isa.ExecJump && d.Jump != isa.JumpReg {
-			resume = g.cycle + int64(g.params.DecodeRedirect) - 1
-		}
-		g.front.Redirect(tid, refOut.NextPC, resume)
-	}
-	if refOut.Spawned >= 0 {
-		g.sb.ClearThread(refOut.Spawned)
-		g.front.StartThread(refOut.Spawned, refLane.PC(refOut.Spawned), g.cycle+int64(g.params.SpawnStart)-1)
-	}
+	g.setLive(keep)
+	return out[ref]
 }
 
 // snapStats deep-copies the shared lockstep statistics for one departing
-// lane, applying the same drain rule as Processor.finish.
+// lane, with the same drain rule as a solo run's.
 func (g *Gang) snapStats() Stats {
-	s := g.stats
-	s.PerThread = append([]int64(nil), g.stats.PerThread...)
-	s.IdleByKind = make(map[pipeline.HazardKind]int64, len(g.stats.IdleByKind))
-	for k, v := range g.stats.IdleByKind {
-		s.IdleByKind[k] = v
-	}
-	s.StallByKind = make(map[pipeline.HazardKind]int64, len(g.stats.StallByKind))
-	for k, v := range g.stats.StallByKind {
-		s.StallByKind[k] = v
-	}
-	s.Cycles = g.cycle
-	if g.maxCompletion+1 > s.Cycles {
-		s.Cycles = g.maxCompletion + 1
-	}
-	s.Fetches = g.front.Fetches
-	s.Flushes = g.front.Flushes
-	s.BlockDispatches = g.blockDispatches
-	s.BlockFallbacks = nil
-	for i, v := range g.blockFallbacks {
-		if v == 0 {
-			continue
-		}
-		if s.BlockFallbacks == nil {
-			s.BlockFallbacks = make(map[string]int64, numFallbacks)
-		}
-		s.BlockFallbacks[fallbackReasons[i]] = v
-	}
+	s := g.finish()
+	s.PerThread = slices.Clone(s.PerThread)
+	s.IdleByKind = maps.Clone(s.IdleByKind)
+	s.StallByKind = maps.Clone(s.StallByKind)
 	return s
 }
 
@@ -508,108 +245,22 @@ func (g *Gang) finalize(li int, err error) {
 	g.res[li] = LaneResult{Err: err, Stats: g.snapStats()}
 }
 
-// finalizeLive finalizes every still-live lane with err and empties the
-// live set.
-func (g *Gang) finalizeLive(err error) {
-	for _, li := range g.live {
-		g.finalize(li, err)
-	}
-	g.live = g.live[:0]
-}
-
 // Run simulates until every lane has finished, peeled, or trapped, or until
 // maxCycles elapse (0 = no limit).
 func (g *Gang) Run(maxCycles int64) []LaneResult {
 	return g.RunContext(context.Background(), maxCycles)
 }
 
-// RunContext is Run with cooperative cancellation, mirroring
+// RunContext is Run with cooperative cancellation, on the same cycle loop as
 // Processor.RunContext. It always returns one LaneResult per lane; lanes
 // still live when the budget, context, or a deadlock ends the run finalize
 // with the corresponding error. The returned slice is owned by the gang and
 // is invalidated by Reset.
 func (g *Gang) RunContext(ctx context.Context, maxCycles int64) []LaneResult {
-	done := ctx.Done()
-	nextCheck := g.cycle + cancelCheckWindow
-	for {
-		if maxCycles > 0 && g.cycle >= maxCycles {
-			g.finalizeLive(fmt.Errorf("core: %w (limit %d)", ErrCycleLimit, maxCycles))
-			return g.res
-		}
-		if done != nil && g.cycle >= nextCheck {
-			select {
-			case <-done:
-				g.finalizeLive(fmt.Errorf("core: run stopped at cycle %d: %w", g.cycle, ctx.Err()))
-				return g.res
-			default:
-			}
-			nextCheck = g.cycle + cancelCheckWindow
-		}
-		if g.blocks != nil {
-			// nextCheck only advances when the context is cancellable, so
-			// it is a stop line only in that case.
-			stopAt := noStop
-			if done != nil {
-				stopAt = nextCheck
-			}
-			if maxCycles > 0 && maxCycles < stopAt {
-				stopAt = maxCycles
-			}
-			if g.runBlock(stopAt) {
-				continue
-			}
-		}
-		more, err := g.Step()
-		if err != nil {
-			g.finalizeLive(err)
-			return g.res
-		}
-		if !more {
-			g.finalizeLive(nil)
-			return g.res
-		}
+	err := g.run(ctx, maxCycles)
+	for _, li := range g.live {
+		g.finalize(li, err)
 	}
-}
-
-// Reset returns the gang to power-on state with every lane live, without
-// reallocating the shared state planes; a reset gang behaves identically to
-// a freshly constructed one. The serving pool relies on this to re-park
-// gangs across batches.
-func (g *Gang) Reset() {
-	for _, m := range g.lanes {
-		m.Reset()
-	}
-	g.front.Reset(g.lanes[0].Decoded())
-	for tid := 0; tid < g.cfg.Machine.Threads; tid++ {
-		g.sb.ClearThread(tid)
-	}
-	g.cycle, g.lastIssue, g.maxCompletion = 0, 0, 0
-	g.halted = false
-	g.cuMulFree, g.cuDivFree, g.peMulFree, g.peDivFree = 0, 0, 0, 0
-	g.stats = Stats{
-		PerThread:   make([]int64, g.cfg.Machine.Threads),
-		IdleByKind:  make(map[pipeline.HazardKind]int64),
-		StallByKind: make(map[pipeline.HazardKind]int64),
-	}
-	g.live = g.live[:0]
-	for i := range g.lanes {
-		g.live = append(g.live, i)
-	}
-	for i := range g.res {
-		g.res[i] = LaneResult{}
-	}
-	g.blockDispatches = 0
-	g.blockFallbacks = [numFallbacks]int64{}
-}
-
-// SetDecoded retargets every lane at a new decoded program and Resets the
-// gang, like Processor.SetDecoded.
-func (g *Gang) SetDecoded(dp *isa.DecodedProgram) {
-	for _, m := range g.lanes {
-		m.SetDecoded(dp)
-	}
-	if g.blocks != nil {
-		g.blocks = dp.Blocks()
-	}
-	g.Reset()
+	g.setLive(g.liveBuf[:0])
+	return g.res
 }

@@ -540,8 +540,9 @@ func TestGangRejectsUnsupported(t *testing.T) {
 	}
 }
 
-// TestGangStepZeroAlloc extends the zero-allocation guarantee to the gang
-// cycle loop: once a gang is checked out and warm, Step must not allocate.
+// TestGangStepZeroAlloc extends the zero-allocation guarantee to the shared
+// cycle loop at both lane counts: once a gang (or a solo processor running
+// the same loop) is warm, Step must not allocate.
 func TestGangStepZeroAlloc(t *testing.T) {
 	const src = `
 		li s1, 30000
@@ -554,19 +555,28 @@ func TestGangStepZeroAlloc(t *testing.T) {
 	`
 	mc := machine.Config{PEs: 16, Threads: 2, Width: 8, LocalMemWords: 64}
 	cfg := Config{Machine: mc, Arity: 4}
-	g, _ := buildGangAsm(t, cfg, src, 8)
-
-	for i := 0; i < 500; i++ {
-		if _, err := g.Step(); err != nil {
-			t.Fatal(err)
-		}
+	g, dp := buildGangAsm(t, cfg, src, 8)
+	solo, err := NewDecoded(cfg, dp)
+	if err != nil {
+		t.Fatal(err)
 	}
-	avg := testing.AllocsPerRun(2000, func() {
-		if _, err := g.Step(); err != nil {
-			t.Fatal(err)
+
+	for _, tc := range []struct {
+		name string
+		step func() (bool, error)
+	}{{"gang", g.Step}, {"solo", solo.Step}} {
+		for i := 0; i < 500; i++ {
+			if _, err := tc.step(); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
-	if avg != 0 {
-		t.Errorf("gang Step allocates %.2f/cycle, want 0", avg)
+		avg := testing.AllocsPerRun(2000, func() {
+			if _, err := tc.step(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg != 0 {
+			t.Errorf("%s Step allocates %.2f/cycle, want 0", tc.name, avg)
+		}
 	}
 }

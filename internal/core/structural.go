@@ -68,27 +68,27 @@ func reduceOpFor(op isa.Op) network.ReduceOp {
 // pushReduction gathers the operands of a reduction issuing this cycle for
 // thread tid and starts it through the structural network. Must be called
 // before machine.Exec (RFIRST overwrites flag state).
-func (p *Processor) pushReduction(tid int, in isa.Inst) {
-	st := p.structural
-	pes := p.cfg.Machine.PEs
-	width := p.cfg.Machine.Width
+func (f *frontEnd) pushReduction(tid int, in isa.Inst) {
+	st := f.structural
+	pes := f.cfg.Machine.PEs
+	width := f.cfg.Machine.Width
 	ones := int64(1)<<width - 1
 
 	maskVec := make([]bool, pes)
 	for pe := 0; pe < pes; pe++ {
-		maskVec[pe] = p.mach.Flag(tid, pe, in.Mask)
+		maskVec[pe] = f.lead.Flag(tid, pe, in.Mask)
 	}
 	rop := reduceOpFor(in.Op)
 	tag := st.nextTag
 	st.nextTag++
-	due := p.cycle + int64(st.bank.Latency())
-	desc := fmt.Sprintf("t%d %v @%d", tid, in, p.cycle)
+	due := f.cycle + int64(st.bank.Latency())
+	desc := fmt.Sprintf("t%d %v @%d", tid, in, f.cycle)
 
 	switch rop {
 	case network.ROpCount, network.ROpAny, network.ROpFirst:
 		flags := make([]bool, pes)
 		for pe := 0; pe < pes; pe++ {
-			flags[pe] = p.mach.Flag(tid, pe, in.Ra)
+			flags[pe] = f.lead.Flag(tid, pe, in.Ra)
 		}
 		st.bank.PushFlags(rop, tag, flags, maskVec)
 		exp := expectedResult{due: due, desc: desc}
@@ -107,7 +107,7 @@ func (p *Processor) pushReduction(tid int, in isa.Inst) {
 		vals := make([]int64, pes)
 		signedVals := make([]int64, pes)
 		for pe := 0; pe < pes; pe++ {
-			vals[pe] = p.mach.Parallel(tid, pe, in.Ra)
+			vals[pe] = f.lead.Parallel(tid, pe, in.Ra)
 			signedVals[pe] = vals[pe] << (64 - width) >> (64 - width)
 		}
 		st.bank.PushValues(rop, tag, vals, maskVec)
@@ -134,16 +134,16 @@ func (p *Processor) pushReduction(tid int, in isa.Inst) {
 
 // stepStructural advances the network bank one cycle and checks everything
 // that emerged.
-func (p *Processor) stepStructural() error {
-	st := p.structural
+func (f *frontEnd) stepStructural() error {
+	st := f.structural
 	for _, res := range st.bank.Step() {
 		exp, ok := st.expected[res.Tag]
 		if !ok {
 			return fmt.Errorf("core: structural network produced untracked result (tag %d, op %v)", res.Tag, res.Op)
 		}
 		delete(st.expected, res.Tag)
-		if p.cycle != exp.due {
-			return fmt.Errorf("core: %s emerged from the structural network at cycle %d, modeled %d", exp.desc, p.cycle, exp.due)
+		if f.cycle != exp.due {
+			return fmt.Errorf("core: %s emerged from the structural network at cycle %d, modeled %d", exp.desc, f.cycle, exp.due)
 		}
 		if exp.vector != nil {
 			if res.Vector == nil {
@@ -165,9 +165,9 @@ func (p *Processor) stepStructural() error {
 
 // structuralDrained reports whether all in-flight structural results have
 // been checked (consulted at the end of Run).
-func (p *Processor) structuralDrained() error {
-	if p.structural == nil || len(p.structural.expected) == 0 {
+func (f *frontEnd) structuralDrained() error {
+	if f.structural == nil || len(f.structural.expected) == 0 {
 		return nil
 	}
-	return fmt.Errorf("core: %d reduction(s) never emerged from the structural network", len(p.structural.expected))
+	return fmt.Errorf("core: %d reduction(s) never emerged from the structural network", len(f.structural.expected))
 }

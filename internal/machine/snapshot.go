@@ -3,9 +3,9 @@ package machine
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 
 	"repro/internal/isa"
 )
@@ -151,109 +151,109 @@ func InspectSnapshot(data []byte) (SnapshotInfo, error) {
 	return info, nil
 }
 
+// errTruncated rejects a snapshot image shorter than its records require.
+var errTruncated = errors.New("machine: truncated snapshot")
+
 // Restore loads a snapshot into this machine. The machine must have been
 // built with the same configuration and program as the one that produced
-// the snapshot.
+// the snapshot. The image is validated in full before anything is written —
+// exact length, thread states, active threads' PCs within [0, program
+// length] (the bound Exec enforces on a next pc), mailbox lengths, and
+// 0-or-1 flag words — so a rejected image leaves the machine untouched.
 func (m *Machine) Restore(data []byte) error {
-	rd := bytes.NewReader(data)
-	r := func() (int64, error) {
-		var buf [8]byte
-		if _, err := io.ReadFull(rd, buf[:]); err != nil {
-			return 0, fmt.Errorf("machine: truncated snapshot")
-		}
-		return int64(binary.LittleEndian.Uint64(buf[:])), nil
-	}
-	need := func(what string, want int64) error {
-		v, err := r()
-		if err != nil {
-			return err
-		}
-		if v != want {
-			return fmt.Errorf("machine: snapshot %s mismatch: %d != %d", what, v, want)
-		}
-		return nil
-	}
-	if err := need("magic", snapMagic); err != nil {
-		return err
-	}
-	if err := need("version", snapVersion); err != nil {
-		return err
-	}
-	if err := need("machine fingerprint", int64(m.fingerprint())); err != nil {
-		return err
-	}
+	word := func(i int) int64 { return int64(binary.LittleEndian.Uint64(data[i*8:])) }
+	cfg := m.cfg
+	const header = 4                     // magic, version, fingerprint, halted
+	threadWords := 3 + isa.NumScalarRegs // state, pc, sregs, mailbox length
+	peWords := isa.NumParallelRegs + isa.NumFlagRegs
 
-	halted, err := r()
-	if err != nil {
-		return err
+	// Pass 1: validate, reading only.
+	if len(data) < header*8 {
+		return errTruncated
 	}
-	m.halted = halted != 0
-	for t := range m.threads {
-		th := &m.threads[t]
-		st, err := r()
-		if err != nil {
-			return err
+	for i, h := range [...]struct {
+		what string
+		want int64
+	}{{"magic", snapMagic}, {"version", snapVersion}, {"machine fingerprint", int64(m.fingerprint())}} {
+		if v := word(i); v != h.want {
+			return fmt.Errorf("machine: snapshot %s mismatch: %d != %d", h.what, v, h.want)
 		}
-		th.state = ThreadState(st)
-		pc, err := r()
-		if err != nil {
-			return err
+	}
+	if v := word(3); v != 0 && v != 1 {
+		return fmt.Errorf("machine: snapshot halt flag %d is not 0 or 1", v)
+	}
+	pos := header
+	for t := 0; t < cfg.Threads; t++ {
+		if len(data) < (pos+threadWords)*8 {
+			return errTruncated
 		}
-		th.pc = int(pc)
-		for i := range th.sregs {
-			if th.sregs[i], err = r(); err != nil {
-				return err
-			}
+		st, pc := word(pos), word(pos+1)
+		if st != int64(ThreadFree) && st != int64(ThreadActive) {
+			return fmt.Errorf("machine: snapshot thread %d state %d is not a thread state", t, st)
 		}
-		n, err := r()
-		if err != nil {
-			return err
+		if st == int64(ThreadActive) && (pc < 0 || pc > int64(m.dec.Len())) {
+			return fmt.Errorf("machine: snapshot thread %d pc %d out of program bounds [0, %d]", t, pc, m.dec.Len())
 		}
-		if n < 0 || n > int64(m.cfg.MailboxCap) {
+		n := word(pos + threadWords - 1)
+		if n < 0 || n > int64(cfg.MailboxCap) {
 			return fmt.Errorf("machine: snapshot mailbox length %d out of range", n)
 		}
+		pos += threadWords + int(n)
+	}
+	planes := pos
+	size := planes + cfg.Threads*cfg.PEs*peWords + cfg.PEs*cfg.LocalMemWords + len(m.scalarMem)
+	if len(data) < size*8 {
+		return errTruncated
+	}
+	if len(data) > size*8 {
+		return fmt.Errorf("machine: snapshot has %d trailing bytes", len(data)-size*8)
+	}
+	for i := 0; i < cfg.Threads*cfg.PEs; i++ {
+		for r := 0; r < isa.NumFlagRegs; r++ {
+			if v := word(planes + i*peWords + isa.NumParallelRegs + r); v != 0 && v != 1 {
+				return fmt.Errorf("machine: snapshot flag word %d is not 0 or 1", v)
+			}
+		}
+	}
+
+	// Pass 2: commit.
+	m.halted = word(3) != 0
+	pos = header
+	for t := range m.threads {
+		th := &m.threads[t]
+		th.state = ThreadState(word(pos))
+		th.pc = int(word(pos + 1))
+		for i := range th.sregs {
+			th.sregs[i] = word(pos + 2 + i)
+		}
+		n := int(word(pos + threadWords - 1))
+		pos += threadWords
 		th.mailbox = th.mailbox[:0]
-		for i := int64(0); i < n; i++ {
-			v, err := r()
-			if err != nil {
-				return err
-			}
-			th.mailbox = append(th.mailbox, v)
+		for i := 0; i < n; i++ {
+			th.mailbox = append(th.mailbox, word(pos+i))
 		}
+		pos += n
 	}
-	for t := 0; t < m.cfg.Threads; t++ {
-		for pe := 0; pe < m.cfg.PEs; pe++ {
-			pb := t*isa.NumParallelRegs*m.cfg.PEs + pe
+	for t := 0; t < cfg.Threads; t++ {
+		for pe := 0; pe < cfg.PEs; pe++ {
+			pb := t*isa.NumParallelRegs*cfg.PEs + pe
 			for i := 0; i < isa.NumParallelRegs; i++ {
-				if m.pregs[pb+i*m.cfg.PEs], err = r(); err != nil {
-					return err
-				}
+				m.pregs[pb+i*cfg.PEs] = word(pos + i)
 			}
-			fb := t*isa.NumFlagRegs*m.cfg.PEs + pe
+			pos += isa.NumParallelRegs
+			fb := t*isa.NumFlagRegs*cfg.PEs + pe
 			for i := 0; i < isa.NumFlagRegs; i++ {
-				v, err := r()
-				if err != nil {
-					return err
-				}
-				m.flags[fb+i*m.cfg.PEs] = v != 0
+				m.flags[fb+i*cfg.PEs] = word(pos+i) != 0
 			}
+			pos += isa.NumFlagRegs
 		}
 	}
-	for pe := 0; pe < m.cfg.PEs; pe++ {
-		lb := pe * m.cfg.LocalMemWords
-		for i := 0; i < m.cfg.LocalMemWords; i++ {
-			if m.localMem[lb+i], err = r(); err != nil {
-				return err
-			}
-		}
+	for i := range m.localMem[:cfg.PEs*cfg.LocalMemWords] {
+		m.localMem[i] = word(pos + i)
 	}
+	pos += cfg.PEs * cfg.LocalMemWords
 	for i := range m.scalarMem {
-		if m.scalarMem[i], err = r(); err != nil {
-			return err
-		}
-	}
-	if rd.Len() != 0 {
-		return fmt.Errorf("machine: snapshot has %d trailing bytes", rd.Len())
+		m.scalarMem[i] = word(pos + i)
 	}
 	return nil
 }

@@ -1,11 +1,14 @@
 package machine
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/asm"
+	"repro/internal/isa"
 )
 
 func snapMachine(t *testing.T) *Machine {
@@ -138,6 +141,61 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	bad[0] ^= 0xff
 	if err := m.Restore(bad); err == nil {
 		t.Error("corrupted magic accepted")
+	}
+
+	// Validate-then-commit: a rejected image leaves the machine exactly as
+	// it was. The target has run a few instructions, so any partial write
+	// of the (power-on) source image would show in its snapshot.
+	for i := 0; i < 4; i++ {
+		if _, err := m.Exec(0, m.Program()[m.PC(0)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := m.Snapshot()
+	const thread0 = 4 // words: magic, version, fingerprint, halted
+	flag0 := thread0 + 4*(3+isa.NumScalarRegs) + isa.NumParallelRegs
+	set := func(word int, v int64) []byte {
+		img := append([]byte(nil), snap...)
+		binary.LittleEndian.PutUint64(img[word*8:], uint64(v))
+		return img
+	}
+	for _, tc := range []struct {
+		name string
+		img  []byte
+	}{
+		{"pc 2^40", set(thread0+1, 1<<40)},
+		{"pc -1", set(thread0+1, -1)},
+		{"state 99", set(thread0, 99)},
+		{"flag word 2", set(flag0, 2)},
+		{"truncated in thread records", snap[:(thread0+2)*8]},
+		{"truncated in memories", snap[:len(snap)-8]},
+	} {
+		if err := m.Restore(tc.img); err == nil {
+			t.Errorf("%s: corrupt snapshot accepted", tc.name)
+		}
+		if !bytes.Equal(m.Snapshot(), before) {
+			t.Errorf("%s: rejected Restore modified the machine", tc.name)
+		}
+	}
+}
+
+// TestRestoreZeroAlloc pins the success path of Restore allocation-free:
+// the serving tier restores every peeled gang lane.
+func TestRestoreZeroAlloc(t *testing.T) {
+	m := snapMachine(t)
+	for i := 0; i < 4; i++ {
+		if _, err := m.Exec(0, m.Program()[m.PC(0)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := m.Snapshot()
+	avg := testing.AllocsPerRun(100, func() {
+		if err := m.Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Errorf("Restore allocates %.2f per call, want 0", avg)
 	}
 }
 

@@ -91,10 +91,11 @@ func PriorityQueue(p, ops int, seed int64) Instance {
 	`, ops, ops)
 
 	return Instance{
-		Name:      "priority-queue",
-		Width:     width,
-		Source:    src,
-		ScalarMem: smem,
+		Name:        "priority-queue",
+		Width:       width,
+		Source:      src,
+		ScalarMem:   smem,
+		ScalarWords: ops + len(want),
 		Check: func(m *machine.Machine) error {
 			for i, w := range want {
 				if got := m.ScalarMem(ops + i); got != w {

@@ -28,7 +28,11 @@ type Instance struct {
 	Threads   int // minimum hardware threads required (1 for most)
 	LocalMem  [][]int64
 	ScalarMem []int64
-	Check     func(m *machine.Machine) error
+	// ScalarWords is the kernel's scalar-memory footprint in words when it
+	// writes past its ScalarMem image (an output region); 0 means the
+	// image is the whole footprint.
+	ScalarWords int
+	Check       func(m *machine.Machine) error
 }
 
 func mask(v int64, width uint) int64 { return v & (int64(1)<<width - 1) }

@@ -9,7 +9,7 @@ import (
 // across several PE counts and verifies the results against the Go
 // reference oracles.
 func TestSuiteOnCore(t *testing.T) {
-	for _, pes := range []int{2, 8, 16, 61, 128} {
+	for _, pes := range []int{2, 8, 16, 61, 128, 1024} {
 		for _, ins := range Suite(pes, 42) {
 			if _, err := ins.RunCore(pes, 1, 4); err != nil {
 				t.Errorf("pes=%d: %v", pes, err)

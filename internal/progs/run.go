@@ -24,11 +24,16 @@ func (ins Instance) MachineConfig(pes, threads int) machine.Config {
 			localWords = len(row)
 		}
 	}
+	scalarWords := 4096
+	if n := max(len(ins.ScalarMem), ins.ScalarWords); n > scalarWords {
+		scalarWords = n
+	}
 	return machine.Config{
-		PEs:           pes,
-		Threads:       threads,
-		Width:         ins.Width,
-		LocalMemWords: localWords,
+		PEs:            pes,
+		Threads:        threads,
+		Width:          ins.Width,
+		LocalMemWords:  localWords,
+		ScalarMemWords: scalarWords,
 	}
 }
 
